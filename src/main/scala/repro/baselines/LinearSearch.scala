@@ -27,7 +27,7 @@ object LinearSearch {
       val sc = rdd.sparkContext
       val qB = sc.broadcast(qs)
       val measure0 = measure
-      val local = rdd
+      val local = try rdd
         .mapPartitions { it =>
           val parts = it.toArray
           qB.value.iterator.zipWithIndex.map { case (q, qi) =>
@@ -42,7 +42,7 @@ object LinearSearch {
           }
         }
         .collect()
-      qB.destroy()
+      finally qB.destroy()
       Array.tabulate(qs.length) { qi =>
         local.iterator.filter(_._1 == qi).flatMap(_._2)
           .toArray.sortBy(r => (r._2, r._1)).take(k)

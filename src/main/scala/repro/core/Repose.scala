@@ -59,7 +59,7 @@ object Repose {
     def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
       val sc = rdd.sparkContext
       val qB = sc.broadcast(qs)
-      val local = rdd
+      val local = try rdd
         .mapPartitions { it =>
           it.flatMap { rp =>
             qB.value.iterator.zipWithIndex.map { case (q, qi) =>
@@ -68,7 +68,7 @@ object Repose {
           }
         }
         .collect()
-      qB.destroy()
+      finally qB.destroy()
       Array.tabulate(qs.length) { qi =>
         local.iterator.filter(_._1 == qi).flatMap(_._2)
           .toArray.sortBy(r => (r._2, r._1)).take(k)
@@ -83,7 +83,7 @@ object Repose {
     def workImbalance(qs: Array[Array[Point]], k: Int): Double = {
       val sc = rdd.sparkContext
       val qB = sc.broadcast(qs)
-      val perPart = rdd
+      val perPart = try rdd
         .mapPartitions { it =>
           val stats = new LocalSearch.Stats
           var hasData = false
@@ -94,7 +94,7 @@ object Repose {
           if (hasData) Iterator.single(stats.exactDistances) else Iterator.empty
         }
         .collect()
-      qB.destroy()
+      finally qB.destroy()
       if (perPart.isEmpty || perPart.sum == 0) 1.0
       else perPart.max.toDouble / (perPart.sum.toDouble / perPart.length)
     }

@@ -1,5 +1,7 @@
 package repro.core.partition
 
+import scala.util.hashing.MurmurHash3
+
 import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 
@@ -73,38 +75,63 @@ object GlobalPartitioning {
 
   private def keyString(seq: Array[Int]): String = seq.mkString(",")
 
-  /** Cluster ids per §V-B: start from the finest granularity and coarsen
-    * until the number of clusters drops to ≈ N / numPartitions.
+  /** 64-bit fingerprint of a cell sequence, for counting distinct sequences
+    * without shuffling them; two seeds make a collision among the few
+    * thousand sequences of one precision negligible (~N²/2⁶⁵).
+    */
+  private def fingerprint(seq: Array[Int]): Long =
+    (MurmurHash3.arrayHash(seq, 0x5eed1).toLong << 32) |
+      (MurmurHash3.arrayHash(seq, 0x5eed2) & 0xffffffffL)
+
+  /** Clustering precision of §V-B: the finest precision whose number of
+    * distinct cell sequences is at most max(numPartitions, N / numPartitions),
+    * or precision 1 when even that has more.
+    *
+    * One pass computes every trajectory's sequence at all precisions (the
+    * coarser ones by coarsening the finest) and counts distinct sequences per
+    * precision, and N, in a single shuffle.
+    */
+  private def sweepPrecision(trajs: RDD[Trajectory], mbr: MBR, numPartitions: Int): Int = {
+    // counts(p) = distinct sequences at precision p; counts(0) = N.
+    val counts = trajs
+      .flatMap { t =>
+        Iterator.iterate(cellSeq(t, mbr, MaxPrecision))(coarsen).take(MaxPrecision)
+          .zipWithIndex.map { case (seq, i) => ((MaxPrecision - i, fingerprint(seq)), 1L) }
+      }
+      .reduceByKey(_ + _)
+      .mapPartitions { it =>
+        val c = new Array[Long](MaxPrecision + 1)
+        it.foreach { case ((p, _), members) =>
+          c(p) += 1
+          if (p == MaxPrecision) c(0) += members
+        }
+        Iterator.single(c)
+      }
+      .reduce((a, b) => Array.tabulate(a.length)(i => a(i) + b(i)))
+    val target = math.max(numPartitions.toLong, counts(0) / math.max(numPartitions, 1))
+    (MaxPrecision to 1 by -1).find(counts(_) <= target).getOrElse(1)
+  }
+
+  /** Cluster ids per §V-B: `(trajectory id, cell sequence)` at the finest
+    * precision with at most ≈ N / numPartitions clusters (see `sweepPrecision`).
+    * The precision is chosen eagerly; the returned RDD is lazy.
     */
   def clusterKeys(
       trajs: RDD[Trajectory],
       mbr: MBR,
       numPartitions: Int,
   ): RDD[(Long, String)] = {
-    val n = trajs.count()
-    val target = math.max(numPartitions.toLong, n / math.max(numPartitions, 1))
-    var p = MaxPrecision
-    var seqs = trajs.map(t => (t.id, cellSeq(t, mbr, p))).persist()
-    var keys = seqs.mapValues(keyString)
-    var distinct = keys.values.distinct().count()
-    while (distinct > target && p > 1) {
-      p -= 1
-      val next = seqs.mapValues(coarsen).persist()
-      seqs.unpersist(blocking = false)
-      seqs = next
-      keys = seqs.mapValues(keyString)
-      distinct = keys.values.distinct().count()
-    }
-    val out = keys
-    seqs.unpersist(blocking = false)
-    out
+    val p = sweepPrecision(trajs, mbr, numPartitions)
+    trajs.map(t => (t.id, keyString(cellSeq(t, mbr, p))))
   }
 
   /** Assign a partition id to every trajectory under the given strategy.
     *
-    * Heterogeneous/homogeneous both sort by (cluster id, trajectory id);
-    * heterogeneous then deals round-robin, homogeneous cuts contiguous
-    * equal-count chunks.
+    * Heterogeneous/homogeneous both rank trajectories by (cluster id,
+    * trajectory id) on the driver, which holds N small pairs; heterogeneous
+    * then deals ranks round-robin, homogeneous cuts contiguous equal-count
+    * chunks. The id → partition table travels in the task closure, so no
+    * broadcast outlives the returned RDD.
     */
   def assign(
       trajs: RDD[Trajectory],
@@ -118,23 +145,18 @@ object GlobalPartitioning {
         (math.floorMod(h, numPartitions), t)
       }
     case _ =>
-      val keys = clusterKeys(trajs, mbr, numPartitions)
-      val n = trajs.count()
-      val byId = trajs.map(t => (t.id, t))
-      val sorted = byId
-        .join(keys)
-        .map { case (id, (t, key)) => ((key, id), t) }
-        .sortByKey()
-        .values
-        .zipWithIndex()
-      strategy match {
-        case Heterogeneous =>
-          sorted.map { case (t, idx) => ((idx % numPartitions).toInt, t) }
-        case _ =>
-          sorted.map { case (t, idx) =>
-            (math.min(numPartitions - 1, (idx * numPartitions / math.max(n, 1L)).toInt), t)
-          }
+      val ranked = clusterKeys(trajs, mbr, numPartitions).collect()
+        .sortBy { case (id, key) => (key, id) }
+      val n = ranked.length.toLong
+      val pidOfRank: Int => Int = strategy match {
+        case Heterogeneous => r => r % numPartitions
+        case _ => r => (r.toLong * numPartitions / n).toInt
       }
+      // (id, partition) sorted by id, looked up by binary search in the tasks.
+      val byId = ranked.indices.map(r => (ranked(r)._1, pidOfRank(r))).sortBy(_._1)
+      val ids = byId.map(_._1).toArray
+      val pids = byId.map(_._2).toArray
+      trajs.map(t => (pids(java.util.Arrays.binarySearch(ids, t.id)), t))
   }
 
   /** Partition an assigned RDD with the custom `Partitioner` and drop keys. */

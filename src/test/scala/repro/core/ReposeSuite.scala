@@ -1,5 +1,11 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+
 import repro.{SparkSpec, TestUtils}
 import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
 
@@ -41,6 +47,32 @@ class ReposeSuite extends SparkSpec {
           trajs, q, Hausdorff)
       } finally idx.unpersist()
     }
+  }
+
+  test("build runs at most 6 Spark jobs") {
+    val sc = spark.sparkContext
+    val groups = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(Option(e.properties).map(_.getProperty("spark.jobGroup.id", "")).getOrElse(""))
+    }
+    def inGroup[A](g: String)(f: => A): A = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    sc.addSparkListener(listener)
+    try {
+      inGroup("repose-build")(Repose.build(spark, rdd, Hausdorff, ReposeConfig(delta = 1.0, numPartitions = 6)))
+        .unpersist()
+      // The listener sees events in order: once the marker job has arrived,
+      // so has every job of the build.
+      inGroup("marker")(sc.parallelize(Seq(1), 1).count())
+      val deadline = System.nanoTime() + 60L * 1000 * 1000 * 1000
+      while (!groups.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(groups.contains("marker"), "listener never saw the marker job")
+      val jobs = groups.asScala.count(_ == "repose-build")
+      assert(jobs <= 6, s"Repose.build ran $jobs Spark jobs")
+    } finally sc.removeSparkListener(listener)
   }
 
   test("RpTrieRDD has one RpTraj per non-empty partition and covers all trajectories") {

@@ -77,13 +77,46 @@ class PartitioningSuite extends SparkSpec {
     assert(a == b)
   }
 
+  /** Plain-Scala §V-B reference: consecutive-deduped grid cells of `t` at
+    * precision `p` (2^p × 2^p cells over the square spanned by `mbr`).
+    */
+  private def cells(t: Trajectory, p: Int): Vector[(Int, Int)] = {
+    val side = 1 << p
+    val u = math.max(mbr.width, mbr.height)
+    def cell(v: Double, lo: Double) = math.min(side - 1, math.max(0, ((v - lo) / u * side).toInt))
+    t.points.foldLeft(Vector.empty[(Int, Int)]) { (acc, pt) =>
+      val c = (cell(pt.x, mbr.minX), cell(pt.y, mbr.minY))
+      if (acc.lastOption.contains(c)) acc else acc :+ c
+    }
+  }
+
   test("clusterKeys coarsens until cluster count is near N/numPartitions") {
-    val keys = GlobalPartitioning.clusterKeys(data, mbr, 8)
-    val distinct = keys.values.distinct().count()
-    // target is max(8, 400/8) = 50; the sweep stops at or below it, or at the
-    // coarsest precision.
-    assert(distinct <= 400)
-    assert(distinct >= 1)
+    val trajs = TestUtils.randomTrajs(400, maxLen = 10, seed = 139L)
+    val target = math.max(8, 400 / 8)
+    val distinctAt = (1 to 10).map(p => p -> trajs.map(cells(_, p)).distinct.length).toMap
+    // The finest precision with at most max(P, N/P) clusters, else the coarsest.
+    val p = (10 to 1 by -1).find(distinctAt(_) <= target).getOrElse(1)
+    val keys = GlobalPartitioning.clusterKeys(data, mbr, 8).collect()
+    assert(keys.map(_._1).sorted.toSeq == (0L until 400L))
+    assert(keys.map(_._2).distinct.length == distinctAt(p),
+      s"expected precision $p; distinct sequences per precision: ${distinctAt.toSeq.sorted}")
+    // Same clusters, not just the same number of them.
+    def clusters[K](pairs: Seq[(Long, K)]): Set[Set[Long]] =
+      pairs.groupMap(_._2)(_._1).values.map(_.toSet).toSet
+    assert(clusters(keys.toSeq) == clusters(trajs.toSeq.map(t => (t.id, cells(t, p)))))
+  }
+
+  for (st <- Seq[PartitionStrategy](Heterogeneous, Homogeneous)) {
+    test(s"${st.name}: assign ranks by (cluster key, id) like the plain-Scala reference") {
+      val ranked = GlobalPartitioning.clusterKeys(data, mbr, 8).collect()
+        .sortBy { case (id, key) => (key, id) }.map(_._1)
+      val expected = ranked.zipWithIndex.map { case (id, r) =>
+        id -> (if (st == Heterogeneous) r % 8 else r * 8 / ranked.length)
+      }.toMap
+      val got = GlobalPartitioning.assign(data, st, 8, mbr).collect()
+        .map { case (pid, t) => t.id -> pid }.toMap
+      assert(got == expected)
+    }
   }
 
   test("partition size histogram matches DuckDB (oracle)") {
