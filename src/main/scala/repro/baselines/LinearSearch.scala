@@ -5,6 +5,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.core.{Measure, Point, Trajectory}
 import repro.core.partition.{GlobalPartitioning, PartitionStrategy, RandomPartitioning}
+import repro.core.search.TopK
 
 /** Baseline LS (§VII-A): brute-force distributed linear search — each
   * partition computes the distance from the query to every trajectory it
@@ -43,10 +44,7 @@ object LinearSearch {
         }
         .collect()
       finally qB.destroy()
-      Array.tabulate(qs.length) { qi =>
-        local.iterator.filter(_._1 == qi).flatMap(_._2)
-          .toArray.sortBy(r => (r._2, r._1)).take(k)
-      }
+      TopK.mergeByQuery(local, qs.length, k)
     }
 
     def unpersist(): Unit = rdd.unpersist(blocking = true)

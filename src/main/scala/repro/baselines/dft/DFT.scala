@@ -5,6 +5,7 @@ import org.apache.spark.storage.StorageLevel
 import scala.util.Random
 
 import repro.core.{MBR, Measure, Point, Trajectory}
+import repro.core.search.TopK
 
 /** DFT baseline (Xie, Li, Phillips — PVLDB'17), the DFT-RB+DI variant of
   * §VII-A: trajectories are decomposed into line segments; segments are
@@ -39,9 +40,9 @@ object DFT {
       if (k >= segCounts.size) { // fewer trajectories than k: evaluate all
         val qAll = sc.broadcast(q)
         val measure0 = measure
-        val all = dual.map { case (tid, t) => (tid, measure0.dist(qAll.value, t.points)) }.collect()
-        qAll.destroy()
-        return all.sortBy(r => (r._2, r._1)).take(k)
+        val all = try dual.map { case (tid, t) => (tid, measure0.dist(qAll.value, t.points)) }.collect()
+        finally qAll.destroy()
+        return TopK.merge(all, k)
       }
       val rnd = new Random(seed)
       val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
@@ -52,7 +53,7 @@ object DFT {
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
       var result: Array[(Long, Double)] = null
-      while (result == null) {
+      try while (result == null) {
         val th = theta
         val candidates = segParts
           .flatMap { part =>
@@ -72,7 +73,7 @@ object DFT {
         if (candidates.size >= k) {
           val candB = sc.broadcast(candidates)
           val measure0 = measure
-          val exact = dual
+          val exact = try dual
             .filter { case (tid, _) => candB.value.contains(tid) }
             .mapPartitions { it =>
               val heap = scala.collection.mutable.PriorityQueue
@@ -85,16 +86,17 @@ object DFT {
               heap.iterator
             }
             .collect()
-          candB.destroy()
-          val topk = exact.sortBy(r => (r._2, r._1)).take(k)
+          finally candB.destroy()
+          val topk = TopK.merge(exact, k)
           // Pruned trajectories all have distance > θ, so the answer is only
           // final once the k-th candidate distance is within θ.
           if (topk.length >= k && topk(k - 1)._2 <= th) result = topk
           else theta *= 2
         } else theta *= 2
+      } finally {
+        qB.destroy()
+        countsB.destroy()
       }
-      qB.destroy()
-      countsB.destroy()
       result
     }
 

@@ -6,6 +6,7 @@ import scala.util.Random
 
 import repro.core.{MBR, Measure, Point, Trajectory, Frechet, DTW}
 import repro.core.partition.IdPartitioner
+import repro.core.search.TopK
 
 /** DITA baseline (Shang, Li, Bao — SIGMOD'18), simplified per §VII-A / §VIII:
   * each trajectory is represented by its first point, last point, and up to
@@ -68,19 +69,18 @@ object DITA {
 
     private def count(q: Array[Point], theta: Double): Long = {
       val qB = parts.sparkContext.broadcast(q)
-      val res = parts.map { p =>
+      try parts.map { p =>
         var c = 0L
         visitCandidates(p, qB.value, MBR(qB.value), theta)(_ => c += 1)
         c
       }.fold(0L)(_ + _)
-      qB.destroy()
-      res
+      finally qB.destroy()
     }
 
     private def refine(q: Array[Point], theta: Double, k: Int): Array[(Long, Double)] = {
       val qB = parts.sparkContext.broadcast(q)
       val measure0 = measure
-      val res = parts.mapPartitions { it =>
+      val res = try parts.mapPartitions { it =>
         val heap = scala.collection.mutable.PriorityQueue
           .empty[(Long, Double)](Ordering.by(_._2))
         it.foreach { p =>
@@ -93,8 +93,8 @@ object DITA {
         }
         heap.iterator
       }.collect()
-      qB.destroy()
-      res.sortBy(r => (r._2, r._1)).take(k)
+      finally qB.destroy()
+      TopK.merge(res, k)
     }
 
     def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {

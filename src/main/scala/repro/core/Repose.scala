@@ -6,7 +6,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.core.partition._
 import repro.core.rptrie.{RPTrie, SuccinctRPTrie, TrieAccess}
-import repro.core.search.LocalSearch
+import repro.core.search.{LocalSearch, TopK}
 
 /** A partition's packaged data + local index — the paper's
   * `case class RpTraj(trajectory: Array, Index: RP-Trie)` (§V-C).
@@ -69,10 +69,7 @@ object Repose {
         }
         .collect()
       finally qB.destroy()
-      Array.tabulate(qs.length) { qi =>
-        local.iterator.filter(_._1 == qi).flatMap(_._2)
-          .toArray.sortBy(r => (r._2, r._1)).take(k)
-      }
+      TopK.mergeByQuery(local, qs.length, k)
     }
 
     /** Per-partition workload skew for a query batch: (max / mean) of the

@@ -5,44 +5,43 @@ import scala.util.Random
 
 import repro.core.{Measure, Point, Trajectory, ZGrid}
 
-/** Build-time trie node (pointer representation). After `RPTrie.build`
-  * finishes, nodes are frozen into flat child arrays in ascending-z order.
-  */
-final class TrieNode(val z: Int) extends Serializable {
-  var childZ: Array[Int] = Array.emptyIntArray
-  var childId: Array[Int] = Array.emptyIntArray
-  var tids: Array[Int] = Array.emptyIntArray
-  var dmax: Double = 0.0
-  var maxDev: Double = 0.0
-  var hrMin: Array[Double] = null
-  var hrMax: Array[Double] = null
-}
-
-/** Reference point trie (§III-B) — pointer representation.
+/** Reference point trie (§III-B) in its flat layout.
   *
-  * Holds the grid, the pivot trajectories, and a flat node array (handle 0 is
-  * the root). Internal nodes carry HR pivot-distance ranges; accepting nodes
-  * additionally carry trajectory ids and `D_max`.
+  * Nodes are numbered in BFS order with every node's children sorted by z,
+  * so handle 0 is the root and the children of `v` are the consecutive
+  * handles `[childStart(v), childStart(v + 1))`; `label(c)` is the z-value on
+  * the edge into `c`. Accepting nodes own the tid range
+  * `[tidStart(v), tidStart(v + 1))` of `tidArr` and carry `D_max`; every node
+  * carries the HR pivot-distance ranges of its subtree (`np` entries per node
+  * in `hrMinArr`/`hrMaxArr`) and `maxDev`.
   */
-final class RPTrie(
+class RPTrie(
     val grid: ZGrid,
     val measure: Measure,
     val pivots: Array[Array[Point]],
-    val nodes: Array[TrieNode],
+    val label: Array[Int],
+    val childStart: Array[Int],
+    val tidStart: Array[Int],
+    val tidArr: Array[Int],
+    private[rptrie] val dmaxArr: Array[Double],
+    private[rptrie] val maxDevArr: Array[Double],
+    private[rptrie] val hrMinArr: Array[Double],
+    private[rptrie] val hrMaxArr: Array[Double],
 ) extends TrieAccess {
-  def numNodes: Int = nodes.length
+  private[this] val np = pivots.length
+
+  def numNodes: Int = label.length
   def root: Int = 0
-  def childCount(v: Int): Int = nodes(v).childZ.length
+  def childCount(v: Int): Int = childStart(v + 1) - childStart(v)
   def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit = {
-    val n = nodes(v)
-    var i = 0
-    while (i < n.childZ.length) { f(n.childZ(i), n.childId(i)); i += 1 }
+    var c = childStart(v)
+    val end = childStart(v + 1)
+    while (c < end) { f(label(c), c); c += 1 }
   }
-  def tids(v: Int): Array[Int] = nodes(v).tids
-  def dmax(v: Int): Double = nodes(v).dmax
-  def maxDev(v: Int): Double = nodes(v).maxDev
-  def hrMin(v: Int, p: Int): Double = nodes(v).hrMin(p)
-  def hrMax(v: Int, p: Int): Double = nodes(v).hrMax(p)
+  def dmax(v: Int): Double = dmaxArr(v)
+  def maxDev(v: Int): Double = maxDevArr(v)
+  def hrMin(v: Int, p: Int): Double = hrMinArr(v * np + p)
+  def hrMax(v: Int, p: Int): Double = hrMaxArr(v * np + p)
 }
 
 object RPTrie {
@@ -51,11 +50,6 @@ object RPTrie {
   private final class BNode(val z: Int) {
     val children = mutable.LinkedHashMap.empty[Int, BNode]
     val tids = mutable.ArrayBuffer.empty[Int]
-    var dmax = 0.0
-    var maxDev = 0.0
-    var hrMin: Array[Double] = null
-    var hrMax: Array[Double] = null
-    var id = -1
   }
 
   /** Build an RP-Trie over `trajs` (§III-B).
@@ -99,8 +93,7 @@ object RPTrie {
         i += 1
       }
     }
-    computePayloads(root, trajs, grid, measure, pivots)
-    freeze(root, grid, measure, pivots)
+    freeze(root, trajs, grid, measure, pivots)
   }
 
   /** Select `np` pivots by sampling `groups` random groups and keeping the
@@ -151,118 +144,129 @@ object RPTrie {
     * repeatedly promote the currently most frequent z-value to a child node,
     * claim every remaining set containing it, and subtract the claimed sets'
     * frequencies (the appendix's `C(Z) − C(Z^z)` differencing).
+    *
+    * A node's children are fixed by its own item sets alone, so nodes are
+    * expanded from an explicit work stack rather than by recursion: the
+    * depth of the trie (up to a trajectory's cell count) never reaches the
+    * thread stack.
     */
   private def buildGreedy(
-      node: BNode,
-      items: mutable.ArrayBuffer[(Array[Int], Int)],
+      root: BNode,
+      rootItems: mutable.ArrayBuffer[(Array[Int], Int)],
   ): Unit = {
-    var remaining = mutable.ArrayBuffer.empty[(Array[Int], Int)]
-    items.foreach { it =>
-      if (it._1.isEmpty) node.tids += it._2 else remaining += it
-    }
-    if (remaining.isEmpty) return
-    val counts = mutable.HashMap.empty[Int, Int]
-    remaining.foreach(_._1.foreach(z => counts.update(z, counts.getOrElse(z, 0) + 1)))
-    while (remaining.nonEmpty) {
-      // Most frequent z-value; ties broken by smallest z for determinism.
-      var bestZ = -1; var bestC = -1
-      counts.foreach { case (z, c) =>
-        if (c > bestC || (c == bestC && z < bestZ)) { bestZ = z; bestC = c }
+    val work = mutable.Stack((root, rootItems))
+    while (work.nonEmpty) {
+      val (node, items) = work.pop()
+      var remaining = mutable.ArrayBuffer.empty[(Array[Int], Int)]
+      items.foreach { it =>
+        if (it._1.isEmpty) node.tids += it._2 else remaining += it
       }
-      val hit = mutable.ArrayBuffer.empty[(Array[Int], Int)]
-      val miss = mutable.ArrayBuffer.empty[(Array[Int], Int)]
-      remaining.foreach { it =>
-        if (java.util.Arrays.binarySearch(it._1, bestZ) >= 0) hit += it else miss += it
+      if (remaining.length == 1) {
+        // A lone set's counts all tie at 1, so the greedy would promote its
+        // z-values one per level in ascending order: emit that chain directly.
+        val (zs, tid) = remaining.head
+        var cur = node
+        zs.foreach { z => val c = new BNode(z); cur.children.update(z, c); cur = c }
+        cur.tids += tid
+        remaining.clear()
       }
-      hit.foreach(_._1.foreach { z =>
-        val c = counts(z) - 1
-        if (c == 0) counts.remove(z) else counts.update(z, c)
-      })
-      val child = new BNode(bestZ)
-      node.children.update(bestZ, child)
-      buildGreedy(child, hit.map { case (zs, tid) => (zs.filter(_ != bestZ), tid) })
-      remaining = miss
+      val counts = mutable.HashMap.empty[Int, Int]
+      remaining.foreach(_._1.foreach(z => counts.update(z, counts.getOrElse(z, 0) + 1)))
+      while (remaining.nonEmpty) {
+        // Most frequent z-value; ties broken by smallest z for determinism.
+        var bestZ = -1; var bestC = -1
+        counts.foreach { case (z, c) =>
+          if (c > bestC || (c == bestC && z < bestZ)) { bestZ = z; bestC = c }
+        }
+        val hit = mutable.ArrayBuffer.empty[(Array[Int], Int)]
+        val miss = mutable.ArrayBuffer.empty[(Array[Int], Int)]
+        remaining.foreach { it =>
+          if (java.util.Arrays.binarySearch(it._1, bestZ) >= 0) hit += it else miss += it
+        }
+        hit.foreach(_._1.foreach { z =>
+          val c = counts(z) - 1
+          if (c == 0) counts.remove(z) else counts.update(z, c)
+        })
+        val child = new BNode(bestZ)
+        node.children.update(bestZ, child)
+        work.push((child, hit.map { case (zs, tid) => (zs.filter(_ != bestZ), tid) }))
+        remaining = miss
+      }
     }
   }
 
-  /** Compute accepting-node payloads (HR point values, D_max) by DFS carrying
-    * the z-path, then propagate HR ranges and maxDev bottom-up.
+  /** Freeze the build-time trie into the flat layout and compute payloads.
+    *
+    * Handles are assigned in BFS order with children sorted by z (the bitmap
+    * iteration order of the succinct encoding). Accepting nodes then get
+    * their HR point values and `D_max` from the reference trajectory found
+    * by walking a build-time parent array up to the root; HR ranges and
+    * `maxDev` propagate bottom-up in reverse handle order, since BFS places
+    * every child after its parent.
     */
-  private def computePayloads(
+  private def freeze(
       root: BNode,
       trajs: Array[Trajectory],
       grid: ZGrid,
       measure: Measure,
       pivots: Array[Array[Point]],
-  ): Unit = {
-    val np = pivots.length
-    val path = mutable.ArrayBuffer.empty[Int]
-
-    def visit(node: BNode): Unit = {
-      node.hrMin = Array.fill(np)(Double.MaxValue)
-      node.hrMax = Array.fill(np)(Double.MinValue)
-      if (node.tids.nonEmpty) {
-        val refPts = grid.refPoints(path.toArray)
-        var p = 0
-        while (p < np) {
-          val d = measure.dist(refPts, pivots(p))
-          node.hrMin(p) = d; node.hrMax(p) = d
-          p += 1
-        }
-        var dm = 0.0
-        node.tids.foreach { tid =>
-          val d = measure.dist(trajs(tid).points, refPts)
-          if (d > dm) dm = d
-        }
-        node.dmax = dm
-        node.maxDev = dm
-      }
-      node.children.valuesIterator.foreach { c =>
-        path += c.z
-        visit(c)
-        path.remove(path.length - 1)
-        var p = 0
-        while (p < np) {
-          if (c.hrMin(p) < node.hrMin(p)) node.hrMin(p) = c.hrMin(p)
-          if (c.hrMax(p) > node.hrMax(p)) node.hrMax(p) = c.hrMax(p)
-          p += 1
-        }
-        if (c.maxDev > node.maxDev) node.maxDev = c.maxDev
-      }
-    }
-    visit(root)
-  }
-
-  /** Freeze into the flat pointer representation: BFS handle assignment with
-    * children canonically sorted by z (bitmap iteration order in the succinct
-    * encoding), so both representations traverse identically.
-    */
-  private def freeze(
-      root: BNode,
-      grid: ZGrid,
-      measure: Measure,
-      pivots: Array[Array[Point]],
   ): RPTrie = {
-    val order = mutable.ArrayBuffer.empty[BNode]
-    val queue = mutable.Queue(root)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      n.id = order.length
-      order += n
-      n.children.values.toArray.sortBy(_.z).foreach(queue.enqueue(_))
+    val order = mutable.ArrayBuffer(root)
+    val parentBuf = mutable.ArrayBuffer(-1)
+    val starts = mutable.ArrayBuffer.empty[Int]
+    var v = 0
+    while (v < order.length) {
+      starts += order.length
+      order(v).children.values.toArray.sortBy(_.z).foreach { c => order += c; parentBuf += v }
+      v += 1
     }
-    val nodes = order.map { b =>
-      val t = new TrieNode(b.z)
-      val sorted = b.children.values.toArray.sortBy(_.z)
-      t.childZ = sorted.map(_.z)
-      t.childId = sorted.map(_.id)
-      t.tids = b.tids.toArray
-      t.dmax = b.dmax
-      t.maxDev = b.maxDev
-      t.hrMin = b.hrMin
-      t.hrMax = b.hrMax
-      t
-    }.toArray
-    new RPTrie(grid, measure, pivots, nodes)
+    val n = order.length
+    starts += n
+    val label = order.map(_.z).toArray
+    val parent = parentBuf.toArray
+    val tidStart = new Array[Int](n + 1)
+    for (u <- 0 until n) tidStart(u + 1) = tidStart(u) + order(u).tids.length
+    val tidArr = order.iterator.flatMap(_.tids).toArray
+
+    val np = pivots.length
+    val dmax = new Array[Double](n)
+    val maxDev = new Array[Double](n)
+    val hrMin = Array.fill(n * np)(Double.MaxValue)
+    val hrMax = Array.fill(n * np)(Double.MinValue)
+    for (u <- 0 until n if tidStart(u) < tidStart(u + 1)) {
+      val path = mutable.ArrayBuffer.empty[Int]
+      var a = u
+      while (a != 0) { path += label(a); a = parent(a) }
+      val refPts = grid.refPoints(path.reverseIterator.toArray)
+      var p = 0
+      while (p < np) {
+        val d = measure.dist(refPts, pivots(p))
+        hrMin(u * np + p) = d; hrMax(u * np + p) = d
+        p += 1
+      }
+      var dm = 0.0
+      var i = tidStart(u)
+      while (i < tidStart(u + 1)) {
+        val d = measure.dist(trajs(tidArr(i)).points, refPts)
+        if (d > dm) dm = d
+        i += 1
+      }
+      dmax(u) = dm
+      maxDev(u) = dm
+    }
+    var c = n - 1
+    while (c > 0) {
+      val a = parent(c)
+      var p = 0
+      while (p < np) {
+        if (hrMin(c * np + p) < hrMin(a * np + p)) hrMin(a * np + p) = hrMin(c * np + p)
+        if (hrMax(c * np + p) > hrMax(a * np + p)) hrMax(a * np + p) = hrMax(c * np + p)
+        p += 1
+      }
+      if (maxDev(c) > maxDev(a)) maxDev(a) = maxDev(c)
+      c -= 1
+    }
+    new RPTrie(grid, measure, pivots, label, starts.toArray, tidStart, tidArr,
+      dmax, maxDev, hrMin, hrMax)
   }
 }

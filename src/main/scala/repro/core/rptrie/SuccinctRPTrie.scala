@@ -1,59 +1,34 @@
 package repro.core.rptrie
 
-import repro.core.{Measure, Point, ZGrid}
-
 /** Succinct RP-Trie (§III-B "Succinct trie structure", after SuRF).
   *
-  * Upper (dense) levels — few, frequently accessed nodes — store children as
-  * two bitmaps per node, each `numCells` bits wide, concatenated in BFS
-  * order: `B_c` marks which cells are children and `B_l` marks which of those
-  * children are internal (non-leaf). Lower (sparse) levels — the long tail —
-  * store children as CSR label arrays (byte-sequence style). Child handles
-  * follow from BFS numbering (children of a node are consecutive), recorded
-  * in `firstChild`. Payloads (tids, HR, D_max, maxDev) are flat arrays
-  * indexed by node handle.
+  * The upper (dense) levels — few, frequently accessed nodes — store their
+  * children as a `B_c` bitmap per node, `numCells` bits wide, concatenated in
+  * BFS order: bit z marks a child with label z, and the child's handle is
+  * `childStart(v)` plus the bit's rank. The lower (sparse) levels — the long
+  * tail — are the `RPTrie`'s own label arrays. Labels, child offsets, tids
+  * and payloads are the `RPTrie`'s arrays, shared by reference; `B_c` is the
+  * only data this encoding adds. SuRF's `B_l` (which children are internal)
+  * is not stored: every child has its own handle, so "internal" is
+  * `childCount(c) > 0`.
   *
-  * A level is encoded densely while the running node count stays ≤
+  * Whole levels are encoded densely while the running node count stays ≤
   * `denseNodeMax` and the grid alphabet is ≤ `denseCellMax` bits per bitmap —
   * the paper's 8×8 running example always qualifies; very fine grids fall
   * back to all-sparse (see DESIGN.md).
   */
-final class SuccinctRPTrie(
-    val grid: ZGrid,
-    val measure: Measure,
-    val pivots: Array[Array[Point]],
-    val numNodes: Int,
+final class SuccinctRPTrie private (
+    trie: RPTrie,
     val denseCount: Int,
     wordsPerNode: Int,
     bc: Array[Long],
-    bl: Array[Long],
-    firstChild: Array[Int],
-    csrStart: Array[Int],
-    csrLabels: Array[Int],
-    tidStart: Array[Int],
-    tidArr: Array[Int],
-    dmaxArr: Array[Double],
-    maxDevArr: Array[Double],
-    hrMinArr: Array[Double],
-    hrMaxArr: Array[Double],
-) extends TrieAccess {
+) extends RPTrie(
+      trie.grid, trie.measure, trie.pivots, trie.label, trie.childStart,
+      trie.tidStart, trie.tidArr, trie.dmaxArr, trie.maxDevArr, trie.hrMinArr, trie.hrMaxArr) {
 
-  private val np = pivots.length
-
-  def root: Int = 0
-
-  def childCount(v: Int): Int =
+  override def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit =
     if (v < denseCount) {
-      var c = 0
-      var w = v * wordsPerNode
-      val end = w + wordsPerNode
-      while (w < end) { c += java.lang.Long.bitCount(bc(w)); w += 1 }
-      c
-    } else csrStart(v - denseCount + 1) - csrStart(v - denseCount)
-
-  def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit = {
-    var child = firstChild(v)
-    if (v < denseCount) {
+      var child = childStart(v)
       val base = v * wordsPerNode
       var w = 0
       while (w < wordsPerNode) {
@@ -66,104 +41,36 @@ final class SuccinctRPTrie(
         }
         w += 1
       }
-    } else {
-      val s = csrStart(v - denseCount)
-      val e = csrStart(v - denseCount + 1)
-      var i = s
-      while (i < e) { f(csrLabels(i), child); child += 1; i += 1 }
-    }
-  }
-
-  /** B_l probe — whether the dense child with label `z` is internal. */
-  def denseChildInternal(v: Int, z: Int): Boolean =
-    v < denseCount && ((bl(v * wordsPerNode + (z >> 6)) >> (z & 63)) & 1L) != 0L
-
-  def tids(v: Int): Array[Int] = {
-    val s = tidStart(v); val e = tidStart(v + 1)
-    if (s == e) Array.emptyIntArray
-    else java.util.Arrays.copyOfRange(tidArr, s, e)
-  }
-
-  def dmax(v: Int): Double = dmaxArr(v)
-  def maxDev(v: Int): Double = maxDevArr(v)
-  def hrMin(v: Int, p: Int): Double = hrMinArr(v * np + p)
-  def hrMax(v: Int, p: Int): Double = hrMaxArr(v * np + p)
+    } else super.foreachChild(v)(f)
 }
 
 object SuccinctRPTrie {
 
-  /** Encode a frozen pointer RP-Trie. BFS handle numbering and z-sorted child
-    * order are preserved, so traversal is bit-for-bit equivalent.
+  /** Encode a frozen RP-Trie: BFS numbering and z-sorted child order are
+    * shared, so traversal is bit-for-bit equivalent.
     */
   def encode(
       trie: RPTrie,
       denseNodeMax: Int = 256,
       denseCellMax: Int = 4096,
   ): SuccinctRPTrie = {
-    val n = trie.numNodes
     val cells = trie.grid.numCells
 
-    // Level boundaries from BFS order: node v's level = parent's + 1.
-    val level = new Array[Int](n)
-    for (v <- 0 until n)
-      trie.foreachChild(v)((_, c) => level(c) = level(v) + 1)
-
-    // Dense prefix: whole levels while cumulative node count stays small.
+    // Dense prefix: whole BFS levels while the cumulative node count stays
+    // small. Level L is the handle range [lo, hi); its children, level L + 1,
+    // are [hi, childStart(hi)).
     var denseCount = 0
     if (cells <= denseCellMax) {
-      val maxLevel = if (n == 0) 0 else level(n - 1)
-      var cum = 0
-      var lv = 0
-      var stop = false
-      while (lv <= maxLevel && !stop) {
-        val cnt = level.count(_ == lv)
-        if (cum + cnt <= denseNodeMax) { cum += cnt; lv += 1 } else stop = true
-      }
-      denseCount = cum
+      var lo = 0
+      var hi = 1
+      while (hi > lo && hi <= denseNodeMax) { lo = hi; hi = trie.childStart(hi) }
+      denseCount = lo
     }
 
     val wordsPerNode = math.max(1, (cells + 63) / 64)
     val bc = new Array[Long](denseCount * wordsPerNode)
-    val bl = new Array[Long](denseCount * wordsPerNode)
-    val firstChild = Array.fill(n)(-1)
-    val csrStart = new Array[Int](n - denseCount + 1)
-    val csrLabels = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val tidStart = new Array[Int](n + 1)
-    val tidArr = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val np = trie.pivots.length
-    val hrMinArr = new Array[Double](n * np)
-    val hrMaxArr = new Array[Double](n * np)
-    val dmaxArr = new Array[Double](n)
-    val maxDevArr = new Array[Double](n)
-
-    for (v <- 0 until n) {
-      var first = -1
-      trie.foreachChild(v) { (z, c) =>
-        if (first == -1) first = c
-        if (v < denseCount) {
-          bc(v * wordsPerNode + (z >> 6)) |= 1L << (z & 63)
-          if (trie.childCount(c) > 0)
-            bl(v * wordsPerNode + (z >> 6)) |= 1L << (z & 63)
-        } else csrLabels += z
-      }
-      firstChild(v) = first
-      if (v >= denseCount) csrStart(v - denseCount + 1) = csrLabels.length
-      val ts = trie.tids(v)
-      tidArr ++= ts
-      tidStart(v + 1) = tidArr.length
-      dmaxArr(v) = trie.dmax(v)
-      maxDevArr(v) = trie.maxDev(v)
-      var p = 0
-      while (p < np) {
-        hrMinArr(v * np + p) = trie.hrMin(v, p)
-        hrMaxArr(v * np + p) = trie.hrMax(v, p)
-        p += 1
-      }
-    }
-
-    new SuccinctRPTrie(
-      trie.grid, trie.measure, trie.pivots, n, denseCount, wordsPerNode,
-      bc, bl, firstChild, csrStart, csrLabels.toArray,
-      tidStart, tidArr.toArray, dmaxArr, maxDevArr, hrMinArr, hrMaxArr)
+    for (v <- 0 until denseCount)
+      trie.foreachChild(v)((z, _) => bc(v * wordsPerNode + (z >> 6)) |= 1L << (z & 63))
+    new SuccinctRPTrie(trie, denseCount, wordsPerNode, bc)
   }
 }

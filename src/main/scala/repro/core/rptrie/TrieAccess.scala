@@ -2,13 +2,14 @@ package repro.core.rptrie
 
 import repro.core.{Measure, Point, ZGrid}
 
-/** Read-only traversal interface shared by the pointer RP-Trie and the
-  * succinct RP-Trie so `LocalSearch` runs unchanged on either (§III-B).
+/** Read-only traversal interface of a frozen RP-Trie (§III-B), so
+  * `LocalSearch` runs unchanged on the flat `RPTrie` and on the
+  * `SuccinctRPTrie` that shares its arrays.
   *
   * Node handles are dense ints in [0, numNodes); `root` is always handle 0.
-  * A node may simultaneously carry trajectory ids (`tids` non-empty — the
-  * paper's `$`-terminated leaf for a reference trajectory that is a prefix of
-  * another) and children.
+  * A node may simultaneously carry trajectory ids (a non-empty tid range —
+  * the paper's `$`-terminated leaf for a reference trajectory that is a
+  * prefix of another) and children.
   */
 trait TrieAccess extends Serializable {
   def grid: ZGrid
@@ -25,10 +26,13 @@ trait TrieAccess extends Serializable {
   /** Iterate the children of `v` in ascending z-label order: f(z, child). */
   def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit
 
-  /** Trajectory ids (indices into the partition's trajectory array) whose
-    * reference trajectory ends at `v`; empty when `v` is purely internal.
+  /** Tid range offsets (numNodes + 1 entries): the trajectory ids (indices
+    * into the partition's trajectory array) whose reference trajectory ends
+    * at `v` are `tidArr(i)` for `i` in `[tidStart(v), tidStart(v + 1))`; the
+    * range is empty when `v` is purely internal.
     */
-  def tids(v: Int): Array[Int]
+  def tidStart: Array[Int]
+  def tidArr: Array[Int]
 
   /** Max distance from the trajectories ending at `v` to v's reference
     * trajectory — the `D_max` of Eq. 3. 0 for purely internal nodes.

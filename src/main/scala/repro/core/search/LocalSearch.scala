@@ -46,6 +46,8 @@ object LocalSearch {
     val ops = BoundsOps.forMeasure(measure, trie.grid, q)
     val np = trie.pivots.length
     val dqp = trie.pivots.map(p => measure.dist(q, p))
+    val tidStart = trie.tidStart
+    val tidArr = trie.tidArr
 
     // k-bounded max-heap of current best results; d_k = its head when full.
     val best = mutable.PriorityQueue.empty[(Long, Double)](Ordering.by(_._2))
@@ -79,12 +81,12 @@ object LocalSearch {
       if (ops.monotone && t.lbO >= dk) done = true // all remaining ≥ d_k
       else if (t.lbP >= dk || t.lbO >= dk) ()      // subtree pruned; continue
       else {
-        val ts = trie.tids(t.handle)
-        if (ts.nonEmpty) {
+        var i = tidStart(t.handle)
+        val end = tidStart(t.handle + 1)
+        if (i < end) {
           val dm = trie.dmax(t.handle)
-          var i = 0
-          while (i < ts.length) {
-            val traj = trajs(ts(i))
+          while (i < end) {
+            val traj = trajs(tidArr(i))
             if (ops.leafTidLB(t.refCore, dm, traj.length) < dk) {
               val d = measure.dist(q, traj.points)
               if (stats != null) stats.exactDistances += 1

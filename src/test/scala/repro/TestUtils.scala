@@ -3,6 +3,7 @@ package repro
 import scala.util.Random
 
 import repro.core._
+import repro.core.rptrie.TrieAccess
 
 /** Shared helpers for unit and integration tests. */
 object TestUtils {
@@ -38,6 +39,10 @@ object TestUtils {
       Point(x, y)
     }
   }
+
+  /** Trajectory ids stored at trie node `v`, copied out of the trie's tid range. */
+  def tids(trie: TrieAccess, v: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(trie.tidArr, trie.tidStart(v), trie.tidStart(v + 1))
 
   /** Ground-truth top-k by exhaustive distance computation. */
   def bruteTopK(

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
 import repro.TestUtils
+import repro.TestUtils.tids
 import repro.core._
 
 /** RP-Trie structure tests: insertion reachability, the greedy hitting-set
@@ -49,13 +50,13 @@ class RPTrieSuite extends AnyFunSuite {
     rts.zipWithIndex.foreach { case (t, i) =>
       val node = walk(trie, grid.refSeq(t.points))
       assert(node.isDefined, s"path missing for trajectory $i")
-      assert(trie.tids(node.get).contains(i), s"tid $i missing at its end node")
+      assert(tids(trie, node.get).contains(i), s"tid $i missing at its end node")
     }
   }
 
   test("plain trie: every tid appears exactly once") {
     val trie = RPTrie.build(rts, grid, Frechet, optimized = false)
-    val seen = allNodes(trie).flatMap(trie.tids)
+    val seen = allNodes(trie).flatMap(tids(trie, _))
     assert(seen.sorted == rts.indices.toList)
   }
 
@@ -74,7 +75,7 @@ class RPTrieSuite extends AnyFunSuite {
     val b = Trajectory(1, Array(Point(0.5, 0.5), Point(1.5, 0.5), Point(2.5, 0.5)))
     val trie = RPTrie.build(Array(a, b), grid8, Frechet, optimized = false)
     val na = walk(trie, grid8.refSeq(a.points)).get
-    assert(trie.tids(na).contains(0))
+    assert(tids(trie, na).contains(0))
     assert(trie.childCount(na) == 1) // continues to b's last cell
   }
 
@@ -109,7 +110,7 @@ class RPTrieSuite extends AnyFunSuite {
       var handle = -1
       trie.foreachChild(trie.root)((cz, c) => if (cz == z) handle = c)
       val out = mutable.Set.empty[Int]
-      def go(v: Int): Unit = { out ++= trie.tids(v); trie.foreachChild(v)((_, c) => go(c)) }
+      def go(v: Int): Unit = { out ++= tids(trie, v); trie.foreachChild(v)((_, c) => go(c)) }
       go(handle)
       out.toSet
     }
@@ -146,7 +147,7 @@ class RPTrieSuite extends AnyFunSuite {
   test("optimized build preserves all tids") {
     val ts = TestUtils.randomTrajs(80, maxLen = 12, seed = 23L)
     val trie = RPTrie.build(ts, grid, Hausdorff, optimized = true)
-    assert(allNodes(trie).flatMap(trie.tids).sorted == ts.indices.toList)
+    assert(allNodes(trie).flatMap(tids(trie, _)).sorted == ts.indices.toList)
   }
 
   test("optimized build is only applied to order-independent measures") {
@@ -163,6 +164,32 @@ class RPTrieSuite extends AnyFunSuite {
     val t2 = RPTrie.build(ts, grid, Hausdorff, optimized = true)
     assert(t1.numNodes == t2.numNodes)
     assert(paths(t1).values.toSet == paths(t2).values.toSet)
+  }
+
+  // ---- Very long trajectories ---------------------------------------------
+
+  /** One 20 000-point trajectory through 20 000 distinct cells (a serpentine
+    * over 200 × 100 cells, so its trie path is 20 000 nodes deep) among short
+    * random walks in the same region.
+    */
+  private def longTrajCase: (Array[Trajectory], ZGrid, Array[Point]) = {
+    val g = ZGrid(0, 0, 256, 1.0)
+    val long = Array.tabulate(20000) { i =>
+      val (row, col) = (i / 200, i % 200)
+      Point((if (row % 2 == 0) col else 199 - col) + 0.5, row + 0.5)
+    }
+    val short = TestUtils.randomTrajs(30, maxLen = 12, span = 200.0, seed = 59L)
+    (short :+ Trajectory(30, long), g, TestUtils.randomQuery(8, span = 100.0, seed = 61L))
+  }
+
+  for ((m, opt) <- Seq[(Measure, Boolean)]((Frechet, false), (Hausdorff, true))) {
+    test(s"a 20 000-cell trajectory builds without stack overflow and searches exactly (${m.name}, optimized=$opt)") {
+      val (ts, g, q) = longTrajCase
+      val trie = RPTrie.build(ts, g, m, np = 0, optimized = opt)
+      assert(trie.numNodes > 20000)
+      val got = repro.core.search.LocalSearch.topK(trie, ts, q, 5)
+      TestUtils.assertTopKEqual(got, TestUtils.bruteTopK(ts.toSeq, q, 5, m), ts.toSeq, q, m)
+    }
   }
 
   // ---- Payload invariants ------------------------------------------------
@@ -207,9 +234,9 @@ class RPTrieSuite extends AnyFunSuite {
   test("dmax bounds the distance from each stored trajectory to its reference trajectory") {
     val (ts, trie) = builtWithPivots
     val ps = paths(trie)
-    for (v <- allNodes(trie) if trie.tids(v).nonEmpty) {
+    for (v <- allNodes(trie) if tids(trie, v).nonEmpty) {
       val refPts = trie.grid.refPoints(ps(v).toArray)
-      trie.tids(v).foreach { tid =>
+      tids(trie, v).foreach { tid =>
         assert(Hausdorff.dist(ts(tid).points, refPts) <= trie.dmax(v) + 1e-9)
       }
     }
@@ -217,7 +244,7 @@ class RPTrieSuite extends AnyFunSuite {
 
   test("dmax of a Hausdorff trie never exceeds the half-diagonal") {
     val (_, trie) = builtWithPivots
-    for (v <- allNodes(trie) if trie.tids(v).nonEmpty)
+    for (v <- allNodes(trie) if tids(trie, v).nonEmpty)
       assert(trie.dmax(v) <= trie.grid.halfDiag + 1e-9)
   }
 

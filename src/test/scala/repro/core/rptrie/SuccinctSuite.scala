@@ -4,10 +4,13 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
 import repro.TestUtils
+import repro.TestUtils.tids
 import repro.core._
+import repro.core.search.LocalSearch
 
 /** Succinct encoding tests: bit-for-bit traversal equivalence with the
-  * pointer trie, dense/sparse level split behaviour, B_l semantics.
+  * flat trie it shares its arrays with, and dense/sparse level split
+  * behaviour.
   */
 class SuccinctSuite extends AnyFunSuite {
 
@@ -27,7 +30,7 @@ class SuccinctSuite extends AnyFunSuite {
       val sc = children(suc, v)
       assert(pc == sc, s"children differ at node $v: $pc vs $sc")
       assert(ptr.childCount(v) == suc.childCount(v))
-      assert(ptr.tids(v).toSeq == suc.tids(v).toSeq, s"tids differ at $v")
+      assert(tids(ptr, v).toSeq == tids(suc, v).toSeq, s"tids differ at $v")
       assert(ptr.dmax(v) == suc.dmax(v))
       assert(ptr.maxDev(v) == suc.maxDev(v))
       for (p <- ptr.pivots.indices) {
@@ -74,24 +77,18 @@ class SuccinctSuite extends AnyFunSuite {
     assert(suc.denseCount <= ptr.numNodes)
   }
 
-  test("B_l marks exactly the internal children of dense nodes") {
-    val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 0)
-    val suc = SuccinctRPTrie.encode(ptr)
-    for (v <- 0 until suc.denseCount) {
-      children(ptr, v).foreach { case (z, c) =>
-        assert(suc.denseChildInternal(v, z) == (ptr.childCount(c) > 0),
-          s"B_l mismatch at node $v child z=$z")
-      }
-    }
-  }
-
   test("search results are identical on pointer and succinct tries") {
     val q = TestUtils.randomQuery(9, seed = 137L)
     val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 3)
     val suc = SuccinctRPTrie.encode(ptr)
-    val a = repro.core.search.LocalSearch.topK(ptr, trajs, q, 15)
-    val b = repro.core.search.LocalSearch.topK(suc, trajs, q, 15)
+    assert(suc.denseCount > 0)
+    val (sa, sb) = (new LocalSearch.Stats, new LocalSearch.Stats)
+    val a = LocalSearch.topK(ptr, trajs, q, 15, sa)
+    val b = LocalSearch.topK(suc, trajs, q, 15, sb)
     assert(a.toSeq == b.toSeq)
+    assert(sa.nodesPopped > 0 && sa.exactDistances > 0)
+    assert((sa.nodesPopped, sa.nodesPushed, sa.exactDistances) ==
+      (sb.nodesPopped, sb.nodesPushed, sb.exactDistances))
   }
 
   test("encoding a single-node trie works") {

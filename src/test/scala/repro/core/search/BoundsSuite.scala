@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
 import repro.TestUtils
+import repro.TestUtils.tids
 import repro.core._
 import repro.core.rptrie.{RPTrie, TrieAccess}
 
@@ -25,7 +26,7 @@ class BoundsSuite extends AnyFunSuite {
   private def subtreeTids(trie: TrieAccess): Map[Int, Set[Int]] = {
     val out = mutable.Map.empty[Int, Set[Int]]
     def go(v: Int): Set[Int] = {
-      var s = trie.tids(v).toSet
+      var s = tids(trie, v).toSet
       trie.foreachChild(v)((_, c) => s ++= go(c))
       out(v) = s
       s
@@ -65,7 +66,7 @@ class BoundsSuite extends AnyFunSuite {
 
     test(s"${m.name}: LB_t (leaf bound) under-estimates stored trajectory distances") {
       visitAll(trie, ops) { (v, ext, _) =>
-        val ts = trie.tids(v)
+        val ts = tids(trie, v)
         if (ts.nonEmpty) {
           val dm = trie.dmax(v)
           ts.foreach { tid =>

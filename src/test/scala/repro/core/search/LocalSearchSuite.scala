@@ -7,7 +7,7 @@ import repro.core._
 import repro.core.rptrie.{RPTrie, SuccinctRPTrie, TrieAccess}
 
 /** Exactness of the best-first local search (Algorithm 2): for every measure,
-  * trie variant (plain/optimized, pointer/succinct), grid resolution, and k,
+  * trie variant (plain/optimized, flat/succinct), grid resolution, and k,
   * the result must match brute force.
   */
 class LocalSearchSuite extends AnyFunSuite {
