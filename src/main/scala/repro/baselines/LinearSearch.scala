@@ -25,26 +25,12 @@ object LinearSearch {
       * (matches `Repose.Index.queryBatch` so timing comparisons are fair).
       */
     def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
-      val sc = rdd.sparkContext
-      val qB = sc.broadcast(qs)
       val measure0 = measure
-      val local = try rdd
-        .mapPartitions { it =>
-          val parts = it.toArray
-          qB.value.iterator.zipWithIndex.map { case (q, qi) =>
-            val heap = scala.collection.mutable.PriorityQueue
-              .empty[(Long, Double)](Ordering.by(_._2))
-            parts.foreach(_.foreach { t =>
-              val d = measure0.dist(q, t.points)
-              if (heap.size < k) heap.enqueue((t.id, d))
-              else if (d < heap.head._2) { heap.dequeue(); heap.enqueue((t.id, d)) }
-            })
-            (qi, heap.toArray)
-          }
-        }
-        .collect()
-      finally qB.destroy()
-      TopK.mergeByQuery(local, qs.length, k)
+      TopK.queryBatch(rdd, qs, k) { (part, q) =>
+        val best = new TopK.Accumulator(k)
+        part.foreach(t => best.offer(t.id, measure0.dist(q, t.points)))
+        best.result
+      }
     }
 
     def unpersist(): Unit = rdd.unpersist(blocking = true)

@@ -2,7 +2,6 @@ package repro.baselines.dft
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import scala.util.Random
 
 import repro.core.{MBR, Measure, Point, Trajectory}
 import repro.core.search.TopK
@@ -36,25 +35,18 @@ object DFT {
 
     /** Exact top-k via threshold candidates + dual-index refinement. */
     def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {
+      require(q.nonEmpty, "query trajectory is empty")
+      val measure0 = measure
+      if (k >= segCounts.size) // fewer trajectories than k: evaluate all
+        return TopK.queryBatch(dual, Array(q), k) { case ((tid, t), q) =>
+          Array((tid, measure0.dist(q, t.points)))
+        }.head
       val sc = segParts.sparkContext
-      if (k >= segCounts.size) { // fewer trajectories than k: evaluate all
-        val qAll = sc.broadcast(q)
-        val measure0 = measure
-        val all = try dual.map { case (tid, t) => (tid, measure0.dist(qAll.value, t.points)) }.collect()
-        finally qAll.destroy()
-        return TopK.merge(all, k)
-      }
-      val rnd = new Random(seed)
-      val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
-      val sampleDists = sample.map(t => measure.dist(q, t.points)).sorted
-      var theta = sampleDists(math.min(k - 1, sampleDists.length - 1))
-      if (theta <= 0.0) theta = 1e-12
-
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
-      var result: Array[(Long, Double)] = null
-      try while (result == null) {
-        val th = theta
+      // Candidates within θ, refined exactly through the dual index; fewer
+      // than k candidates come back empty, so the loop doubles θ.
+      def refine(th: Double): Array[(Long, Double)] = {
         val candidates = segParts
           .flatMap { part =>
             val hits = scala.collection.mutable.HashMap.empty[Long, Int]
@@ -69,35 +61,26 @@ object DFT {
           .keys
           .collect()
           .toSet
-
-        if (candidates.size >= k) {
+        if (candidates.size < k) Array.empty
+        else {
           val candB = sc.broadcast(candidates)
-          val measure0 = measure
           val exact = try dual
             .filter { case (tid, _) => candB.value.contains(tid) }
             .mapPartitions { it =>
-              val heap = scala.collection.mutable.PriorityQueue
-                .empty[(Long, Double)](Ordering.by(_._2))
-              it.foreach { case (tid, t) =>
-                val d = measure0.dist(qB.value, t.points)
-                if (heap.size < k) heap.enqueue((tid, d))
-                else if (d < heap.head._2) { heap.dequeue(); heap.enqueue((tid, d)) }
-              }
-              heap.iterator
+              val best = new TopK.Accumulator(k)
+              it.foreach { case (tid, t) => best.offer(tid, measure0.dist(qB.value, t.points)) }
+              best.result.iterator
             }
             .collect()
           finally candB.destroy()
-          val topk = TopK.merge(exact, k)
-          // Pruned trajectories all have distance > θ, so the answer is only
-          // final once the k-th candidate distance is within θ.
-          if (topk.length >= k && topk(k - 1)._2 <= th) result = topk
-          else theta *= 2
-        } else theta *= 2
-      } finally {
+          TopK.merge(exact, k)
+        }
+      }
+      try TopK.untilExact(TopK.sampleTheta(q, samplePool, measure, k, c, seed), k)(refine)
+      finally {
         qB.destroy()
         countsB.destroy()
       }
-      result
     }
 
     /** IS metric: segment R-trees + MBR rows + the dual-index copy. */

@@ -2,7 +2,6 @@ package repro.baselines.dita
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import scala.util.Random
 
 import repro.core.{MBR, Measure, Point, Trajectory, Frechet, DTW}
 import repro.core.partition.IdPartitioner
@@ -78,31 +77,21 @@ object DITA {
     }
 
     private def refine(q: Array[Point], theta: Double, k: Int): Array[(Long, Double)] = {
-      val qB = parts.sparkContext.broadcast(q)
       val measure0 = measure
-      val res = try parts.mapPartitions { it =>
-        val heap = scala.collection.mutable.PriorityQueue
-          .empty[(Long, Double)](Ordering.by(_._2))
-        it.foreach { p =>
-          visitCandidates(p, qB.value, MBR(qB.value), theta) { e =>
-            val t = p.trajs(e.tid)
-            val d = measure0.dist(qB.value, t.points)
-            if (heap.size < k) heap.enqueue((t.id, d))
-            else if (d < heap.head._2) { heap.dequeue(); heap.enqueue((t.id, d)) }
-          }
+      TopK.queryBatch(parts, Array(q), k) { (p, q) =>
+        val best = new TopK.Accumulator(k)
+        visitCandidates(p, q, MBR(q), theta) { e =>
+          val t = p.trajs(e.tid)
+          best.offer(t.id, measure0.dist(q, t.points))
         }
-        heap.iterator
-      }.collect()
-      finally qB.destroy()
-      TopK.merge(res, k)
+        best.result
+      }.head
     }
 
     def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {
+      require(q.nonEmpty, "query trajectory is empty")
       if (k >= total) return refine(q, Double.MaxValue, k)
-      val rnd = new Random(seed)
-      val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
-      val dists = sample.map(t => measure.dist(q, t.points)).sorted
-      var theta = math.max(dists(math.min(k - 1, dists.length - 1)), 1e-12)
+      var theta = TopK.sampleTheta(q, samplePool, measure, k, c, seed)
 
       // Halve while the index still reports more than C·k candidates.
       var cnt = count(q, theta)
@@ -110,13 +99,7 @@ object DITA {
         theta /= 2
         cnt = count(q, theta)
       }
-      var result: Array[(Long, Double)] = null
-      while (result == null) {
-        val topk = refine(q, theta, k)
-        if (topk.length >= k && topk(k - 1)._2 <= theta) result = topk
-        else theta *= 2
-      }
-      result
+      TopK.untilExact(theta, k)(refine(q, _, k))
     }
 
     /** IS metric: the per-partition tries (entries, MBRs) — trajectories are

@@ -44,37 +44,9 @@ object Harness {
   def mb(bytes: Long): Double = bytes / (1024.0 * 1024.0)
 
   /** REPOSE: build (clustering + partitioning + tries), query workload.
-    * Returns the metric cell plus the per-partition workload-imbalance ratio
-    * (max/mean exact distances — the load-balance mechanism of Table VII).
+    * `inspect` sees the built index before it is released (Table VII reads
+    * its workload imbalance there).
     */
-  def runReposeFull(
-      spark: SparkSession,
-      spec: TrajGen.Spec,
-      measure: Measure,
-      queries: Array[Trajectory],
-      k: Int = K,
-      delta: Double = Double.NaN,
-      np: Int = 5,
-      partitions: Int = 16,
-      strategy: PartitionStrategy = Heterogeneous,
-      optimized: Boolean = true,
-  ): (Cell, Double) = {
-    val d = if (delta.isNaN) Datasets.delta(spec, measure) else delta
-    val trajs = dataset(spark, spec)
-    val cfg = ReposeConfig(delta = d, np = np, numPartitions = partitions,
-      strategy = strategy, optimizedTrie = optimized)
-    val (idx, it) = timeSec(Repose.build(spark, trajs, measure, cfg))
-    val isBytes = idx.indexBytes
-    // Untimed warm-up (JIT + code shipping), then one batched job for the
-    // workload (amortizes job-launch overhead, as a 100-query evaluation run
-    // does); QT is the per-query average.
-    idx.queryBatch(queries.take(2).map(_.points), k)
-    val (_, qt) = timeSec(idx.queryBatch(queries.map(_.points), k))
-    val imbalance = idx.workImbalance(queries.map(_.points), k)
-    idx.unpersist()
-    (Cell(qt / queries.length, mb(isBytes), it), imbalance)
-  }
-
   def runRepose(
       spark: SparkSession,
       spec: TrajGen.Spec,
@@ -86,9 +58,23 @@ object Harness {
       partitions: Int = 16,
       strategy: PartitionStrategy = Heterogeneous,
       optimized: Boolean = true,
-  ): Cell =
-    runReposeFull(spark, spec, measure, queries, k, delta, np, partitions,
-      strategy, optimized)._1
+      inspect: Repose.Index => Unit = _ => (),
+  ): Cell = {
+    val d = if (delta.isNaN) Datasets.delta(spec, measure) else delta
+    val trajs = dataset(spark, spec)
+    val cfg = ReposeConfig(delta = d, np = np, numPartitions = partitions,
+      strategy = strategy, optimizedTrie = optimized)
+    val (idx, it) = timeSec(Repose.build(spark, trajs, measure, cfg))
+    val isBytes = idx.indexBytes
+    // Untimed warm-up (JIT + code shipping), then one batched job for the
+    // workload (amortizes job-launch overhead, as a 100-query evaluation run
+    // does); QT is the per-query average.
+    idx.queryBatch(queries.take(2).map(_.points), k)
+    val (_, qt) = timeSec(idx.queryBatch(queries.map(_.points), k))
+    inspect(idx)
+    idx.unpersist()
+    Cell(qt / queries.length, mb(isBytes), it)
+  }
 
   /** LS: no index — IS and IT are "/" (NaN). */
   def runLS(

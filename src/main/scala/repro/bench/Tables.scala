@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core._
 import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
+import repro.core.search.LocalSearch
 import repro.data.{Datasets, TrajGen}
 
 /** One runner per evaluation table (Tables III–IX). Each prints the table in
@@ -123,7 +124,9 @@ object Tables {
       // k = 10 here: with k near the per-partition result floor, every
       // partition computes ~k exact distances regardless of strategy and the
       // imbalance signal washes out; a small k exposes the hot partitions.
-      val (cell, imb) = runReposeFull(spark, spec, measure, qs, k = 10, strategy = st)
+      var imb = Double.NaN
+      val cell = runRepose(spark, spec, measure, qs, k = 10, strategy = st,
+        inspect = idx => imb = workImbalance(idx, qs.map(_.points), 10))
       out((measure.name, st.name, spec.name)) = (cell.qt, imb)
     }
     for (measure <- Seq[Measure](Hausdorff, Frechet)) {
@@ -137,6 +140,19 @@ object Tables {
         })
     }
     out.toMap
+  }
+
+  /** Workload skew of a query batch: (max / mean) of the exact distances each
+    * partition computes; 1.0 is the perfect balance §V-B aims for.
+    */
+  private def workImbalance(idx: Repose.Index, qs: Array[Array[Point]], k: Int): Double = {
+    val perPart = idx.rdd.map { rp =>
+      val stats = new LocalSearch.Stats
+      qs.foreach(q => LocalSearch.topK(rp.index, rp.trajs, q, k, stats))
+      stats.exactDistances
+    }.collect()
+    if (perPart.isEmpty || perPart.sum == 0) 1.0
+    else perPart.max.toDouble / (perPart.sum.toDouble / perPart.length)
   }
 
   /** Table VIII: REPOSE vs Heter-DITA vs DITA on DTW and Fréchet. */

@@ -56,45 +56,8 @@ object Repose {
       * Batching amortizes job-launch overhead across the workload, which is
       * how a 100-query evaluation set is processed.
       */
-    def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
-      val sc = rdd.sparkContext
-      val qB = sc.broadcast(qs)
-      val local = try rdd
-        .mapPartitions { it =>
-          it.flatMap { rp =>
-            qB.value.iterator.zipWithIndex.map { case (q, qi) =>
-              (qi, LocalSearch.topK(rp.index, rp.trajs, q, k))
-            }
-          }
-        }
-        .collect()
-      finally qB.destroy()
-      TopK.mergeByQuery(local, qs.length, k)
-    }
-
-    /** Per-partition workload skew for a query batch: (max / mean) of the
-      * exact-distance computations each partition performs. 1.0 is perfect
-      * balance — the quantity the heterogeneous strategy optimizes (§V-B);
-      * per-query wall-clock equals the slowest partition's share.
-      */
-    def workImbalance(qs: Array[Array[Point]], k: Int): Double = {
-      val sc = rdd.sparkContext
-      val qB = sc.broadcast(qs)
-      val perPart = try rdd
-        .mapPartitions { it =>
-          val stats = new LocalSearch.Stats
-          var hasData = false
-          it.foreach { rp =>
-            hasData = true
-            qB.value.foreach(q => LocalSearch.topK(rp.index, rp.trajs, q, k, stats))
-          }
-          if (hasData) Iterator.single(stats.exactDistances) else Iterator.empty
-        }
-        .collect()
-      finally qB.destroy()
-      if (perPart.isEmpty || perPart.sum == 0) 1.0
-      else perPart.max.toDouble / (perPart.sum.toDouble / perPart.length)
-    }
+    def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] =
+      TopK.queryBatch(rdd, qs, k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k))
 
     /** Index-size metric IS: summed estimated footprint of the local tries. */
     def indexBytes: Long =

@@ -32,7 +32,7 @@ object LocalSearch {
   )
 
   /** Exact top-k of `q` among `trajs` under `trie.measure`. Returns at most
-    * k (trajectoryId, distance) pairs sorted by ascending distance.
+    * k (trajectoryId, distance) pairs sorted by (distance, id).
     */
   def topK(
       trie: TrieAccess,
@@ -49,12 +49,9 @@ object LocalSearch {
     val tidStart = trie.tidStart
     val tidArr = trie.tidArr
 
-    // k-bounded max-heap of current best results; d_k = its head when full.
-    val best = mutable.PriorityQueue.empty[(Long, Double)](Ordering.by(_._2))
-    def dk: Double = if (best.size < k) Double.MaxValue else best.head._2
-    def offer(id: Long, d: Double): Unit =
-      if (best.size < k) best.enqueue((id, d))
-      else if (d < best.head._2) { best.dequeue(); best.enqueue((id, d)) }
+    // Current best results; d_k is their k-th distance once k are held.
+    val best = new TopK.Accumulator(k)
+    def dk: Double = best.dk
 
     // Pivot bound for a node (both triangle directions, deviation-corrected).
     def pivotLB(v: Int): Double = {
@@ -90,7 +87,7 @@ object LocalSearch {
             if (ops.leafTidLB(t.refCore, dm, traj.length) < dk) {
               val d = measure.dist(q, traj.points)
               if (stats != null) stats.exactDistances += 1
-              offer(traj.id, d)
+              best.offer(traj.id, d)
             }
             i += 1
           }
@@ -107,6 +104,6 @@ object LocalSearch {
         }
       }
     }
-    best.toArray.sortBy(r => (r._2, r._1))
+    best.result
   }
 }
